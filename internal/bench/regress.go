@@ -95,8 +95,9 @@ var calibSink float32
 
 // CalibrationSeconds times a fixed single-threaded scalar fp32 workload
 // (a 192³ matmul, min of 3) — the per-machine speed scalar CheckRegression
-// normalizes by. It deliberately mirrors the gated kernels' shape: scalar
-// float32 multiply-accumulate over slices, no worker pool.
+// normalizes by. It is a probe of machine speed, not a copy of any gated
+// kernel: it stays plain scalar Go with no worker pool on purpose, so its
+// time does not move when a kernel gains a SIMD path.
 func CalibrationSeconds() float64 {
 	const n = 192
 	a := make([]float32, n*n)

@@ -107,6 +107,10 @@ func TrainSharded(ds *datasets.Dataset, cfg ShardedTrainConfig) (*DistResult, er
 		world.Run(func(rank int) {
 			results[rank], errs[rank] = trainShardedRank(ds, cfg, world, rank, owners, shards, maxBatches)
 		})
+		// The fabric is this call's own: closing it stops every rank's
+		// ReqRep responder, which would otherwise block in Recv forever
+		// and keep its feature store live.
+		world.Transport().Close()
 		for rank, err := range errs {
 			if err != nil {
 				return nil, fmt.Errorf("minibatch: rank %d: %w", rank, err)

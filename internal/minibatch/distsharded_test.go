@@ -2,6 +2,7 @@ package minibatch
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -158,5 +159,28 @@ func TestTrainShardedRejectsBadConfig(t *testing.T) {
 		if _, err := TrainSharded(ds, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestTrainShardedReleasesFabric: the in-process branch builds its own
+// fabric, so a call must not leave any rank's ReqRep responder (and the
+// feature store it pins) running after it returns.
+func TestTrainShardedReleasesFabric(t *testing.T) {
+	ds := testDS(t)
+	cfg := shardedTestCfg(2)
+	cfg.Epochs = 1
+	base := runtime.NumGoroutine()
+	for call := 0; call < 3; call++ {
+		if _, err := TrainSharded(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Responders exit once they observe the closed fabric; give them time.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 3 calls, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
