@@ -63,7 +63,6 @@ import (
 	"distgnn/internal/graphio"
 	"distgnn/internal/obs"
 	"distgnn/internal/parallel"
-	"distgnn/internal/quant"
 	"distgnn/internal/serve"
 )
 
@@ -85,8 +84,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 16, "request coalescer: max queries per micro-batch (1 disables coalescing)")
 	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "request coalescer: max time a query waits for batch mates")
 	featCacheMB := flag.Float64("feature-cache-mb", 64, "gathered-feature cache budget in MB (0 disables; shard mode: the halo feature cache)")
-	featPrec := flag.String("feat-precision", "fp32",
-		"feature storage: fp32, or bf16 (features rounded once into a 16-bit slab — half the resident feature bytes; single-process serving only)")
 	embCacheMB := flag.Float64("embed-cache-mb", 16, "final-layer embedding cache budget in MB (0 disables)")
 	workers := flag.Int("workers", 0,
 		"kernel worker-pool size, the OMP_NUM_THREADS analogue (0 = GOMAXPROCS)")
@@ -145,14 +142,6 @@ func main() {
 		MaxWait:           *maxWait,
 		FeatureCacheBytes: int64(*featCacheMB * (1 << 20)),
 		EmbedCacheBytes:   int64(*embCacheMB * (1 << 20)),
-	}
-	switch *featPrec {
-	case "fp32":
-		cfg.FeatPrecision = quant.FP32
-	case "bf16":
-		cfg.FeatPrecision = quant.BF16
-	default:
-		fatal(fmt.Errorf("unknown -feat-precision %q (fp32 or bf16)", *featPrec))
 	}
 	cfg.EnableReload = *reloadOn
 	cfg.EnableUpdates = *updatesOn

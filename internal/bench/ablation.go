@@ -34,7 +34,7 @@ func Ablations() []Experiment {
 		{"abl-shardserve", "Ablation: sharded serving — QPS/p95 vs shard count under Poisson and MMPP arrivals", AblationShardServe},
 		{"abl-replicaserve", "Ablation: replicated serving — MMPP tail with a replica killed mid-run, mid-run /reload survival", AblationReplicaServe},
 		{"abl-stream", "Ablation: streaming updates — ingest rate vs query tail latency and invalidation fan-out", AblationStream},
-		{"abl-kernels", "Ablation: aggregation kernel arms (scalar/fused/bf16) and wall-epoch trajectory", AblationKernels},
+		{"abl-kernels", "Ablation: aggregation kernel arms (scalar/fused) and wall-epoch trajectory", AblationKernels},
 		{"abl-obs", "Ablation: observability overhead — serving p95 with obs off / metrics / metrics+trace", AblationObs},
 	}
 }

@@ -7,24 +7,20 @@ import (
 	"time"
 
 	"distgnn/internal/minibatch"
-	"distgnn/internal/quant"
-	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
 
 // kernels.go is the abl-kernels ablation: the raw-speed trajectory of the
-// aggregation hot path. Three arms over the same exact (full-neighborhood)
-// bipartite block at d=64 and d=128:
+// aggregation hot path. Two arms over the same fanout-sampled bipartite
+// block at d=64 and d=128:
 //
 //   - scalar-fp32: materialize the |frontier|×d gathered matrix, then
 //     AggregateGCN — the pre-fusion pipeline, and the traffic ceiling.
 //   - fused-fp32: GatherAggGCNSum streams rows straight out of the fp32
 //     store (bit-identical math, no gathered matrix).
-//   - fused-bf16: same kernel over the 16-bit slab — half the feature-read
-//     bytes, float32 accumulation.
 //
 // Plus the end-to-end check the kernels exist to move: mini-batch wall
-// time per epoch, fp32 vs bf16 feature storage. With Options.JSON set the
+// time per epoch. With Options.JSON set the
 // rows land in BENCH_kernels.json together with the regression-gated
 // Metrics/CalibSeconds envelope (see regress.go); BENCH_baseline/ holds
 // the committed trajectory that `distgnn-bench -check` diffs against.
@@ -63,7 +59,7 @@ type KernelsBenchReport struct {
 	Edges      int              `json:"edges"`
 	Rows       []KernelBenchRow `json:"rows"`
 	// Metrics are the gated lower-is-better seconds (see MetricsEnvelope):
-	// agg_<arm>_d<D>_s per arm and train_epoch_<prec>_s end to end.
+	// agg_<arm>_d<D>_s per arm and train_epoch_fp32_s end to end.
 	Metrics      map[string]float64 `json:"metrics"`
 	CalibSeconds float64            `json:"calib_seconds"`
 }
@@ -99,7 +95,6 @@ func AblationKernels(opt Options) error {
 	t := &table{header: []string{"d", "arm", "pass", "traffic MB", "MB/s", "vs scalar"}}
 	for _, d := range []int{64, 128} {
 		x := syntheticFeatures(ds.G.NumVertices, d)
-		slab := tensor.BF16FromMatrix(x)
 
 		// Feature bytes moved per pass: every arm reads (edges + self) rows
 		// from its source; the scalar arm first round-trips the gathered
@@ -114,23 +109,17 @@ func AblationKernels(opt Options) error {
 		}{
 			{"scalar-fp32", gatherRT + rowReads*4, fmt.Sprintf("agg_scalar_fp32_d%d_s", d), func() {
 				// The pre-fusion pipeline exactly: a fresh |frontier|×d
-				// gathered matrix per pass, filled row by row through
-				// FeatRows.CopyRow (what gatherFeatures did per sample),
-				// then the block aggregate over it.
-				rows := spmm.RowsOf(x)
+				// gathered matrix per pass, filled row by row, then the
+				// block aggregate over it.
 				gathered := tensor.New(len(frontier), d)
 				for i, v := range frontier {
-					rows.CopyRow(gathered.Row(i), int(v))
+					copy(gathered.Row(i), x.Row(int(v)))
 				}
 				out := minibatch.AggregateGCN(blk, gathered, blk.Norms())
 				kernelSink += out.Data[0]
 			}},
 			{"fused-fp32", rowReads * 4, fmt.Sprintf("agg_fused_fp32_d%d_s", d), func() {
-				out := minibatch.AggregateGCNFrom(blk, spmm.RowsOf(x), frontier)
-				kernelSink += out.Data[0]
-			}},
-			{"fused-bf16", rowReads * 2, fmt.Sprintf("agg_fused_bf16_d%d_s", d), func() {
-				out := minibatch.AggregateGCNFrom(blk, spmm.RowsOfBF16(slab), frontier)
+				out := minibatch.AggregateGCNFrom(blk, x, frontier)
 				kernelSink += out.Data[0]
 			}},
 		}
@@ -155,33 +144,23 @@ func AblationKernels(opt Options) error {
 
 	// End to end: the mini-batch epoch these kernels sit inside. Min over
 	// epochs — the steady-state epoch, insulated from first-epoch warmup.
-	for _, arm := range []struct {
-		label  string
-		metric string
-		prec   quant.Precision
-	}{
-		{"fp32", "train_epoch_fp32_s", quant.FP32},
-		{"bf16", "train_epoch_bf16_s", quant.BF16},
-	} {
-		res, err := minibatch.Train(ds, minibatch.Config{
-			Hidden: kernelBenchHidden, NumLayers: 2,
-			Fanouts:   []int{kernelBenchFanout, kernelBenchFanout},
-			BatchSize: kernelBenchBatch, Epochs: opt.epochs(2),
-			LR: 0.02, UseAdam: true, Seed: 1, FeatPrecision: arm.prec,
-		})
-		if err != nil {
-			return err
-		}
-		best := math.Inf(1)
-		for _, e := range res.Epochs {
-			if sec := e.Time.Seconds(); sec < best {
-				best = sec
-			}
-		}
-		report.Metrics[arm.metric] = best
-		fmt.Fprintf(opt.Out, "wall-epoch (%s features): %s   test acc %s\n",
-			arm.label, ms(best), pct(res.TestAcc))
+	res, err := minibatch.Train(ds, minibatch.Config{
+		Hidden: kernelBenchHidden, NumLayers: 2,
+		Fanouts:   []int{kernelBenchFanout, kernelBenchFanout},
+		BatchSize: kernelBenchBatch, Epochs: opt.epochs(2),
+		LR: 0.02, UseAdam: true, Seed: 1,
+	})
+	if err != nil {
+		return err
 	}
+	best := math.Inf(1)
+	for _, e := range res.Epochs {
+		if sec := e.Time.Seconds(); sec < best {
+			best = sec
+		}
+	}
+	report.Metrics["train_epoch_fp32_s"] = best
+	fmt.Fprintf(opt.Out, "wall-epoch: %s   test acc %s\n", ms(best), pct(res.TestAcc))
 
 	report.CalibSeconds = CalibrationSeconds()
 	if opt.JSON != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"distgnn/internal/comm"
-	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
 
@@ -29,7 +28,7 @@ func TestLocalGatherExact(t *testing.T) {
 		if cached {
 			c = NewCache[int32, []float32](1<<20, 0)
 		}
-		lf := NewLocal(spmm.RowsOf(feats), c)
+		lf := NewLocal(feats, c)
 		if lf.Cols() != 8 {
 			t.Fatalf("Cols = %d, want 8", lf.Cols())
 		}

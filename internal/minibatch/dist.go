@@ -62,13 +62,6 @@ func TrainDistributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error)
 	if cfg.BatchSize < 1 || cfg.Epochs < 1 {
 		return nil, fmt.Errorf("minibatch: BatchSize and Epochs must be positive")
 	}
-	// One read-only feature store shared by all ranks; with bf16 every rank
-	// reads the same rounded slab, so replicas stay bit-identical.
-	feats, err := featRowsFor(ds, cfg.FeatPrecision)
-	if err != nil {
-		return nil, err
-	}
-
 	// Shard training vertices round-robin after one seeded shuffle.
 	shuffled := append([]int32(nil), ds.TrainIdx...)
 	rand.New(rand.NewSource(cfg.Seed)).Shuffle(len(shuffled), func(i, j int) {
@@ -150,7 +143,7 @@ func TrainDistributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error)
 				var batchN int
 				if len(seeds) > 0 {
 					s := r.sampler.Sample(seeds)
-					logits := r.model.forward(s, feats, true)
+					logits := r.model.forward(s, ds.Features, s.InputFrontier(), true)
 					localLabels := make([]int32, len(seeds))
 					mask := make([]int32, len(seeds))
 					for i, g := range seeds {
@@ -199,7 +192,7 @@ func TrainDistributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error)
 	res.Params = nn.FlattenParams(ranks[0].model.params(), false)
 
 	// Replicas are identical; evaluate with rank 0's model and sampler.
-	res.TestAcc = evaluate(ds, ranks[0].sampler, ranks[0].model, cfg.BatchSize, feats)
+	res.TestAcc = evaluate(ds, ranks[0].sampler, ranks[0].model, cfg.BatchSize)
 	return res, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"distgnn/internal/featstore"
 	"distgnn/internal/nn"
 	"distgnn/internal/partition"
-	"distgnn/internal/quant"
 	"distgnn/internal/tensor"
 )
 
@@ -68,11 +67,6 @@ func TrainSharded(ds *datasets.Dataset, cfg ShardedTrainConfig) (*DistResult, er
 	}
 	if cfg.BatchSize < 1 || cfg.Epochs < 1 {
 		return nil, fmt.Errorf("minibatch: BatchSize and Epochs must be positive")
-	}
-	if cfg.FeatPrecision != quant.FP32 {
-		// Halo rows cross the fabric as fp32; the conformance pin is defined
-		// over that format (mirroring serve's shard mode).
-		return nil, fmt.Errorf("minibatch: sharded training is fp32-only (drop FeatPrecision)")
 	}
 	if cfg.Transport != nil && cfg.Transport.Size() != cfg.NumRanks {
 		return nil, fmt.Errorf("minibatch: transport spans %d ranks, NumRanks is %d",
@@ -236,7 +230,7 @@ func trainShardedRank(ds *datasets.Dataset, cfg ShardedTrainConfig, world *comm.
 			nn.ZeroGrads(params)
 			var batchN int
 			if bw.s != nil {
-				logits := m.forwardGathered(bw.s, bw.x, true)
+				logits := m.forward(bw.s, bw.x, nil, true)
 				localLabels := make([]int32, len(bw.seeds))
 				mask := make([]int32, len(bw.seeds))
 				for i, g := range bw.seeds {
@@ -320,7 +314,7 @@ func evaluateSharded(ds *datasets.Dataset, sampler *Sampler, m *mbModel, batch i
 		if err != nil {
 			return 0, err
 		}
-		logits := m.forwardGathered(s, x, false)
+		logits := m.forward(s, x, nil, false)
 		pred := make([]int, logits.Rows)
 		logits.ArgmaxRows(pred)
 		for i, g := range seeds {

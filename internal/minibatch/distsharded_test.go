@@ -153,7 +153,6 @@ func TestTrainShardedRejectsBadConfig(t *testing.T) {
 		{DistConfig: DistConfig{Config: Config{NumLayers: 2, Fanouts: []int{5, 5}, BatchSize: 32, Epochs: 1, Seed: 1}, NumRanks: 0}},
 		{DistConfig: DistConfig{Config: Config{NumLayers: 2, Fanouts: []int{5}, BatchSize: 32, Epochs: 1, Seed: 1}, NumRanks: 2}},
 		{DistConfig: DistConfig{Config: Config{NumLayers: 1, Fanouts: []int{5}, BatchSize: 0, Epochs: 1, Seed: 1}, NumRanks: 2}},
-		{DistConfig: DistConfig{Config: Config{NumLayers: 1, Fanouts: []int{5}, BatchSize: 32, Epochs: 1, Seed: 1, FeatPrecision: 1}, NumRanks: 2}},
 	}
 	for i, cfg := range bad {
 		if _, err := TrainSharded(ds, cfg); err == nil {

@@ -8,7 +8,6 @@ import (
 	"distgnn/internal/datasets"
 	"distgnn/internal/nn"
 	"distgnn/internal/parallel"
-	"distgnn/internal/quant"
 	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
@@ -26,12 +25,6 @@ type Config struct {
 	// Workers sizes the process-wide kernel worker pool for this run — the
 	// OMP_NUM_THREADS knob. 0 keeps the current pool.
 	Workers int
-	// FeatPrecision selects the input-feature storage format. quant.FP32
-	// (the zero value) reads the dataset's float32 matrix; quant.BF16
-	// rounds the features once into a 16-bit slab that the fused layer-0
-	// kernel decodes on load — half the feature-read traffic, float32
-	// accumulation, model math otherwise unchanged.
-	FeatPrecision quant.Precision
 }
 
 // EpochStat is one mini-batch epoch: loss averaged over batches, wall time,
@@ -154,13 +147,12 @@ func aggregateBlockBackward(b *Block, dAgg *tensor.Matrix, numSrc int) *tensor.M
 }
 
 // AggregateGCNFrom is AggregateGCN fused with the frontier gather: it
-// streams rows straight out of the global feature store (fp32 or bf16) via
+// streams rows straight out of the global feature store via
 // spmm.GatherAggGCNSum instead of first materializing the |frontier|×d
-// gathered matrix. For fp32 sources the float-op order is exactly
-// gather-then-AggregateGCN, so results are bit-identical to the unfused
-// path; bf16 sources decode on load and accumulate in float32.
-func AggregateGCNFrom(b *Block, feats spmm.FeatRows, frontier []int32) *tensor.Matrix {
-	out := tensor.New(b.NumDst, feats.Cols())
+// gathered matrix. The float-op order is exactly gather-then-AggregateGCN,
+// so results are bit-identical to the unfused path.
+func AggregateGCNFrom(b *Block, feats *tensor.Matrix, frontier []int32) *tensor.Matrix {
+	out := tensor.New(b.NumDst, feats.Cols)
 	if err := spmm.GatherAggGCNSum(out, feats, frontier, b.Indptr, b.Indices, b.SelfIdx, b.Norms()); err != nil {
 		// Block invariants come from the sampler; a shape mismatch here is a
 		// programming error, not a runtime condition.
@@ -170,49 +162,26 @@ func AggregateGCNFrom(b *Block, feats spmm.FeatRows, frontier []int32) *tensor.M
 }
 
 // forward runs the sampled layers from the outermost frontier inward and
-// returns logits for the seed vertices. feats is the global vertex-feature
-// store; the outermost layer aggregates directly from it through the fused
-// gather→aggregate kernel (the input frontier's features are never
-// materialized as a matrix).
-func (m *mbModel) forward(s *Sample, feats spmm.FeatRows, training bool) *tensor.Matrix {
+// returns logits for the seed vertices. x is the layer-0 input. With a
+// non-nil rows, x is a resident feature store and rows maps the input
+// frontier to its rows: the outermost layer aggregates straight from it
+// through the fused gather→aggregate kernel. With rows nil, x is already
+// gathered in frontier order (the sharded trainer's path, where the gather
+// crossed the comm fabric). The two are bit-identical: AggregateGCN over
+// the gathered matrix is exactly the unfused form of AggregateGCNFrom.
+func (m *mbModel) forward(s *Sample, x *tensor.Matrix, rows []int32, training bool) *tensor.Matrix {
 	m.blocks = m.blocks[:0]
-	var h *tensor.Matrix
+	h := x
 	for l := len(s.Blocks) - 1; l >= 0; l-- {
 		layer := len(s.Blocks) - 1 - l
 		blk := s.Blocks[l]
 		m.blocks = append(m.blocks, blk)
 		var agg *tensor.Matrix
-		if layer == 0 {
-			agg = AggregateGCNFrom(blk, feats, s.InputFrontier())
+		if layer == 0 && rows != nil {
+			agg = AggregateGCNFrom(blk, x, rows)
 		} else {
 			agg = AggregateGCN(blk, h, blk.Norms())
 		}
-		h = m.layers[layer].Forward(agg, training)
-		if m.relus[layer] != nil {
-			h = m.relus[layer].Forward(h, training)
-		}
-	}
-	return h
-}
-
-// forwardGathered is forward with the input-frontier features handed in as
-// an already-gathered matrix instead of read from a resident store — the
-// sharded trainer's path, where the gather crossed the comm fabric. For
-// fp32 stores the two are bit-identical: AggregateGCN over the gathered
-// matrix is exactly the unfused form of AggregateGCNFrom (the PR 6 kernel
-// pin), and a sharded gather returns the resident matrix's exact bits.
-func (m *mbModel) forwardGathered(s *Sample, x *tensor.Matrix, training bool) *tensor.Matrix {
-	m.blocks = m.blocks[:0]
-	var h *tensor.Matrix
-	for l := len(s.Blocks) - 1; l >= 0; l-- {
-		layer := len(s.Blocks) - 1 - l
-		blk := s.Blocks[l]
-		m.blocks = append(m.blocks, blk)
-		src := h
-		if layer == 0 {
-			src = x
-		}
-		agg := AggregateGCN(blk, src, blk.Norms())
 		h = m.layers[layer].Forward(agg, training)
 		if m.relus[layer] != nil {
 			h = m.relus[layer].Forward(h, training)
@@ -246,10 +215,6 @@ func Train(ds *datasets.Dataset, cfg Config) (*Result, error) {
 	if cfg.Workers > 0 {
 		parallel.Configure(parallel.Config{Workers: cfg.Workers})
 	}
-	feats, err := featRowsFor(ds, cfg.FeatPrecision)
-	if err != nil {
-		return nil, err
-	}
 	sampler, err := NewSampler(ds.G, cfg.Fanouts, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -277,7 +242,7 @@ func Train(ds *datasets.Dataset, cfg Config) (*Result, error) {
 			}
 			seeds := train[off:end]
 			s := sampler.Sample(seeds)
-			logits := m.forward(s, feats, true)
+			logits := m.forward(s, ds.Features, s.InputFrontier(), true)
 
 			localLabels := make([]int32, len(seeds))
 			mask := make([]int32, len(seeds))
@@ -301,21 +266,8 @@ func Train(ds *datasets.Dataset, cfg Config) (*Result, error) {
 		res.Epochs = append(res.Epochs, st)
 	}
 
-	res.TestAcc = evaluate(ds, sampler, m, cfg.BatchSize, feats)
+	res.TestAcc = evaluate(ds, sampler, m, cfg.BatchSize)
 	return res, nil
-}
-
-// featRowsFor builds the feature row store Train and TrainDistributed read
-// from: the dataset matrix as-is for fp32, or a one-time rounded bf16 slab.
-func featRowsFor(ds *datasets.Dataset, p quant.Precision) (spmm.FeatRows, error) {
-	switch p {
-	case quant.FP32:
-		return spmm.RowsOf(ds.Features), nil
-	case quant.BF16:
-		return spmm.RowsOfBF16(tensor.BF16FromMatrix(ds.Features)), nil
-	default:
-		return spmm.FeatRows{}, fmt.Errorf("minibatch: unsupported feature precision %v (fp32 or bf16)", p)
-	}
 }
 
 // sampledWork counts aggregation element updates per hop: sampled edges ×
@@ -323,28 +275,13 @@ func featRowsFor(ds *datasets.Dataset, p quant.Precision) (spmm.FeatRows, error)
 func sampledWork(s *Sample, dims []int) int64 {
 	var total int64
 	for l, blk := range s.Blocks {
-		layer := len(s.Blocks) - 1 - l
-		_ = layer
-		// Block l aggregates at layer (numLayers-1-l); its input width is
-		// dims of that layer.
 		total += int64(blk.NumSampledEdges()+blk.NumDst) * int64(dims[len(s.Blocks)-1-l])
 	}
 	return total
 }
 
-// gatherFeatures materializes the frontier's feature rows as an fp32 matrix
-// — the unfused reference path the fused kernel is pinned against, kept for
-// callers that need the gathered matrix itself (and for tests).
-func gatherFeatures(feats spmm.FeatRows, frontier []int32) *tensor.Matrix {
-	x := tensor.New(len(frontier), feats.Cols())
-	for i, g := range frontier {
-		feats.CopyRow(x.Row(i), int(g))
-	}
-	return x
-}
-
 // evaluate scores test vertices with sampled inference (same fan-outs).
-func evaluate(ds *datasets.Dataset, sampler *Sampler, m *mbModel, batch int, feats spmm.FeatRows) float64 {
+func evaluate(ds *datasets.Dataset, sampler *Sampler, m *mbModel, batch int) float64 {
 	if len(ds.TestIdx) == 0 {
 		return 0
 	}
@@ -356,7 +293,7 @@ func evaluate(ds *datasets.Dataset, sampler *Sampler, m *mbModel, batch int, fea
 		}
 		seeds := ds.TestIdx[off:end]
 		s := sampler.Sample(seeds)
-		logits := m.forward(s, feats, false)
+		logits := m.forward(s, ds.Features, s.InputFrontier(), false)
 		pred := make([]int, logits.Rows)
 		logits.ArgmaxRows(pred)
 		for i, g := range seeds {

@@ -103,34 +103,6 @@ type GraphSAGE struct {
 	// (forward and backward); the Fig. 2 "AP" measurement. Reset with
 	// ResetAggTime.
 	AggTime time.Duration
-
-	// featB, when set, is the bf16 copy of the input features the layer-0
-	// forward aggregation reads instead of the fp32 matrix (see
-	// SetBF16Features).
-	featB *tensor.BF16Matrix
-}
-
-// SetBF16Features installs a bf16 slab as the layer-0 aggregation source:
-// the first layer's forward spmm streams 2-byte rows (half the feature-read
-// traffic of fp32) and decodes on load. Callers must pass b.ToMatrix() — the
-// decoded fp32 copy — as Forward's x so the self-add path observes exactly
-// the values the kernel decodes; under that convention the result is
-// bit-identical to fp32 training over the rounded features. Pass nil to
-// return to fp32 reads. Rejected under UseBaselineAgg (the Alg. 1 baseline
-// kernel is fp32-only by contract).
-func (m *GraphSAGE) SetBF16Features(b *tensor.BF16Matrix) error {
-	if b == nil {
-		m.featB = nil
-		return nil
-	}
-	if m.Cfg.UseBaselineAgg {
-		return fmt.Errorf("model: bf16 features require the planned kernels (UseBaselineAgg is on)")
-	}
-	if b.Rows != m.G.NumVertices || b.Cols != m.Cfg.InDim {
-		return fmt.Errorf("model: bf16 slab %dx%d, want %dx%d", b.Rows, b.Cols, m.G.NumVertices, m.Cfg.InDim)
-	}
-	m.featB = b
-	return nil
 }
 
 // ResetAggTime clears the aggregation-primitive time accumulator.
@@ -231,18 +203,11 @@ func pickNumBlocks(g *graph.CSR) int {
 	return nB
 }
 
-// aggregate runs the forward aggregation primitive into a fresh matrix. On
-// layer 0 with a bf16 slab installed, the kernel reads the slab (decoding
-// on load) instead of x — bit-identical output, half the source traffic.
-func (m *GraphSAGE) aggregate(x *tensor.Matrix, layer0 bool) *tensor.Matrix {
+// aggregate runs the forward aggregation primitive into a fresh matrix.
+func (m *GraphSAGE) aggregate(x *tensor.Matrix) *tensor.Matrix {
 	start := time.Now()
 	out := tensor.New(x.Rows, x.Cols)
-	args := &spmm.Args{G: m.G, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
-	if layer0 && m.featB != nil && x.Rows == m.featB.Rows && x.Cols == m.featB.Cols {
-		args.FVB = m.featB
-	} else {
-		args.FV = x
-	}
+	args := &spmm.Args{G: m.G, FV: x, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
 	var err error
 	if m.Cfg.UseBaselineAgg {
 		err = spmm.Baseline(args)
@@ -290,7 +255,7 @@ func (m *GraphSAGE) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 			}
 			continue
 		}
-		agg := m.aggregate(h, l == 0)
+		agg := m.aggregate(h)
 		if m.FwdHook != nil {
 			m.FwdHook(l, agg)
 		}

@@ -28,8 +28,6 @@ import (
 	"distgnn/internal/minibatch"
 	"distgnn/internal/nn"
 	"distgnn/internal/obs"
-	"distgnn/internal/quant"
-	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
 
@@ -57,14 +55,6 @@ type ModelSpec struct {
 	// LeakySlope is GAT's LeakyReLU negative slope; defaults to 0.2 to
 	// match model.NewGAT.
 	LeakySlope float64
-	// FeatPrecision selects how the engine stores input features:
-	// quant.FP32 (zero value) reads the dataset matrix; quant.BF16 rounds
-	// it once at engine construction into a 16-bit slab, halving resident
-	// feature bytes and read traffic. Inference then runs over the rounded
-	// values (decode is exact), so exact-mode results are bit-identical to
-	// a model evaluated on the rounded matrix. Single-process engines only;
-	// the sharded engine exchanges fp32 rows.
-	FeatPrecision quant.Precision
 }
 
 func (s ModelSpec) String() string {
@@ -136,10 +126,6 @@ type Engine struct {
 	gat     []*gatServeLayer
 	feat    *Cache[int32, []float32]
 	src     featureSource
-	// feats is the resident feature store (fp32 matrix or bf16 slab). The
-	// exact-mode GraphSAGE path aggregates straight from it through the
-	// fused gather kernel when the feature cache is disabled.
-	feats spmm.FeatRows
 	// mut, when non-nil, is the graph mutation layer (Config.EnableUpdates):
 	// each request loads one epoch-versioned Snapshot and extracts its
 	// blocks against that consistent view. Nil = frozen graph, identical
@@ -181,16 +167,7 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 		spec: spec,
 		feat: NewCache[int32, []float32](featureCacheBytes, 0),
 	}
-	switch spec.FeatPrecision {
-	case quant.FP32:
-		e.feats = spmm.RowsOf(ds.Features)
-	case quant.BF16:
-		// One-time rounding at construction; every request reads the slab.
-		e.feats = spmm.RowsOfBF16(tensor.BF16FromMatrix(ds.Features))
-	default:
-		return nil, fmt.Errorf("serve: unsupported feature precision %v (fp32 or bf16)", spec.FeatPrecision)
-	}
-	e.src = featstore.NewLocal(e.feats, e.feat)
+	e.src = featstore.NewLocal(ds.Features, e.feat)
 	switch spec.Arch {
 	case ArchGraphSAGE:
 		e.buildSage()
@@ -349,6 +326,7 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 	}
 	var s *minibatch.Sample
 	var x *tensor.Matrix
+	var rows []int32 // non-nil: x is the resident store, rows the input frontier
 	var err error
 	switch {
 	case e.sampler != nil:
@@ -363,19 +341,12 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 	case e.fusedExact():
 		// GraphSAGE exact mode over the resident store with no feature
 		// cache: skip the gather entirely — the fused kernel streams
-		// frontier rows straight from e.feats (fp32 bit-identical to the
-		// gathered path, bf16 decoded on load).
+		// frontier rows straight from the dataset matrix, bit-identical to
+		// the gathered path.
 		stop := tc.StartSpan("sample")
 		s = minibatch.FullSample(topo, seeds, e.spec.NumLayers)
 		stop()
-		frontier := s.InputFrontier()
-		e.inferences.Add(1)
-		e.seedVertices.Add(int64(len(seeds)))
-		e.frontierIn.Add(int64(len(frontier)))
-		stop = tc.StartSpan("forward")
-		out := e.forwardSageFused(s, frontier)
-		stop()
-		return out, nil
+		x, rows = e.ds.Features, s.InputFrontier()
 	default:
 		if es, ok := e.src.(exactSampler); ok {
 			s, x, err = es.sampleExact(topo, seeds, e.spec.NumLayers, tc)
@@ -394,14 +365,14 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 
 	e.inferences.Add(1)
 	e.seedVertices.Add(int64(len(seeds)))
-	e.frontierIn.Add(int64(x.Rows))
+	e.frontierIn.Add(int64(len(s.InputFrontier())))
 
 	stop := tc.StartSpan("forward")
 	var out *tensor.Matrix
 	if e.spec.Arch == ArchGAT {
 		out = e.forwardGAT(s, x)
 	} else {
-		out = e.forwardSage(s, x)
+		out = e.forwardSage(s, x, rows)
 	}
 	stop()
 	return out, nil
@@ -421,31 +392,20 @@ func (e *Engine) fusedExact() bool {
 }
 
 // forwardSage runs the GCN-aggregator GraphSAGE layers over the sampled or
-// exact blocks. The float-op order per output row matches the full-batch
-// model's Forward exactly (see package comment).
-func (e *Engine) forwardSage(s *minibatch.Sample, x *tensor.Matrix) *tensor.Matrix {
+// exact blocks. x is the layer-0 input: with rows nil it is the gathered
+// input-frontier matrix; otherwise it is the resident feature store and
+// rows maps the input frontier into it, so the outermost layer's gather and
+// aggregation run fused. The two are bit-identical, and the float-op order
+// per output row matches the full-batch model's Forward exactly (see
+// package comment).
+func (e *Engine) forwardSage(s *minibatch.Sample, x *tensor.Matrix, rows []int32) *tensor.Matrix {
 	h := x
 	for l := len(s.Blocks) - 1; l >= 0; l-- {
 		layer := len(s.Blocks) - 1 - l
 		blk := s.Blocks[l]
-		agg := minibatch.AggregateGCN(blk, h, blk.Norms())
-		h = e.sageApply(layer, agg)
-	}
-	return h
-}
-
-// forwardSageFused is forwardSage with the outermost layer's gather and
-// aggregation fused: layer 0 reads frontier rows directly from the resident
-// feature store; inner layers are identical. fp32 results are bit-identical
-// to forwardSage over the gathered matrix.
-func (e *Engine) forwardSageFused(s *minibatch.Sample, frontier []int32) *tensor.Matrix {
-	var h *tensor.Matrix
-	for l := len(s.Blocks) - 1; l >= 0; l-- {
-		layer := len(s.Blocks) - 1 - l
-		blk := s.Blocks[l]
 		var agg *tensor.Matrix
-		if layer == 0 {
-			agg = minibatch.AggregateGCNFrom(blk, e.feats, frontier)
+		if layer == 0 && rows != nil {
+			agg = minibatch.AggregateGCNFrom(blk, x, rows)
 		} else {
 			agg = minibatch.AggregateGCN(blk, h, blk.Norms())
 		}

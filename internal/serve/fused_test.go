@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"distgnn/internal/nn"
-	"distgnn/internal/quant"
-	"distgnn/internal/tensor"
 )
 
 // TestFusedExactBitIdenticalToGatheredExact pins the serving-side fusion
@@ -55,56 +53,5 @@ func TestFusedExactBitIdenticalToGatheredExact(t *testing.T) {
 	// gathered matrix exists to count rows of.
 	if got := fused.Stats().InputFrontierVertices; got <= 0 {
 		t.Fatalf("fused path did not count frontier vertices: %d", got)
-	}
-}
-
-// TestBF16EngineMatchesRoundedFeatures: a bf16 engine serves exactly what a
-// fp32 engine over the once-rounded feature matrix serves — on both the
-// fused (no cache) and gathered (cache) paths.
-func TestBF16EngineMatchesRoundedFeatures(t *testing.T) {
-	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
-
-	spec := ModelSpec{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}
-	bfSpec := spec
-	bfSpec.FeatPrecision = quant.BF16
-
-	// Reference engine: fp32 over the rounded matrix (a shallow dataset copy
-	// with the features swapped — the graph and labels are shared).
-	dsRounded := *ds
-	dsRounded.Features = tensor.BF16FromMatrix(ds.Features).ToMatrix()
-	ref, err := NewEngine(&dsRounded, spec, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, cacheBytes := range []int64{0, 1 << 20} {
-		eng, err := NewEngine(ds, bfSpec, nil, cacheBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range []*Engine{ref, eng} {
-			if err := nn.ReadParams(bytes.NewReader(ckpt), e.Params()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		batch := []int32{1, 7, 19, 64}
-		want, err := ref.Infer(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.Infer(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range batch {
-			bitsEqual(t, got.Row(i), want.Row(i), "bf16 engine vs rounded-fp32 engine")
-		}
-	}
-
-	// fp16 is a wire format, not a feature store.
-	badSpec := spec
-	badSpec.FeatPrecision = quant.FP16
-	if _, err := NewEngine(ds, badSpec, nil, 0); err == nil {
-		t.Fatal("fp16 feature precision must be rejected")
 	}
 }

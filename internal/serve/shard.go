@@ -13,7 +13,6 @@ import (
 	"distgnn/internal/nn"
 	"distgnn/internal/obs"
 	"distgnn/internal/partition"
-	"distgnn/internal/quant"
 	"distgnn/internal/tensor"
 )
 
@@ -293,11 +292,6 @@ func (sf *shardFeatures) Gather(frontier []int32) (*tensor.Matrix, error) {
 func NewShard(ds *datasets.Dataset, checkpoint io.Reader, cfg Config, sc ShardConfig) (*Server, error) {
 	if len(cfg.Fanouts) > 0 {
 		return nil, fmt.Errorf("serve: shard mode is exact-only (drop -fanouts)")
-	}
-	if cfg.FeatPrecision != quant.FP32 {
-		// Shards exchange halo feature rows as fp32 over the comm fabric;
-		// the cross-shard bit-identity harness is defined over that format.
-		return nil, fmt.Errorf("serve: shard mode is fp32-only (drop -feat-precision)")
 	}
 	cfg.applyDefaults()
 	st, err := newShardState(ds, cfg, sc)

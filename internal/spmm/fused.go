@@ -4,63 +4,8 @@ import (
 	"fmt"
 
 	"distgnn/internal/parallel"
-	"distgnn/internal/quant"
 	"distgnn/internal/tensor"
 )
-
-// FeatRows is a read-only vertex-feature row store in one of the two source
-// precisions. Exactly one backing is non-nil; the zero value is invalid.
-// It is the operand handed to the fused gather→aggregate kernel, which
-// switches once on the backing and runs a monomorphic loop — no per-row
-// interface dispatch on the hot path.
-type FeatRows struct {
-	F32 *tensor.Matrix
-	B16 *tensor.BF16Matrix
-}
-
-// RowsOf wraps a float32 matrix as a FeatRows.
-func RowsOf(m *tensor.Matrix) FeatRows { return FeatRows{F32: m} }
-
-// RowsOfBF16 wraps a bf16 matrix as a FeatRows.
-func RowsOfBF16(b *tensor.BF16Matrix) FeatRows { return FeatRows{B16: b} }
-
-// Valid reports whether exactly one backing is set.
-func (r FeatRows) Valid() bool { return (r.F32 != nil) != (r.B16 != nil) }
-
-// Cols returns the feature width.
-func (r FeatRows) Cols() int {
-	if r.B16 != nil {
-		return r.B16.Cols
-	}
-	return r.F32.Cols
-}
-
-// NumRows returns the row count.
-func (r FeatRows) NumRows() int {
-	if r.B16 != nil {
-		return r.B16.Rows
-	}
-	return r.F32.Rows
-}
-
-// Precision reports the storage format.
-func (r FeatRows) Precision() quant.Precision {
-	if r.B16 != nil {
-		return quant.BF16
-	}
-	return quant.FP32
-}
-
-// CopyRow materializes row i into dst (len ≥ Cols), decoding bf16 rows on
-// load, and returns dst[:Cols]. The unfused gather path and caches use it.
-func (r FeatRows) CopyRow(dst []float32, i int) []float32 {
-	if r.B16 != nil {
-		return r.B16.DecodeRow(i, dst)
-	}
-	dst = dst[:r.F32.Cols]
-	copy(dst, r.F32.Row(i))
-	return dst
-}
 
 // GatherAggGCNSum is the fused gather→aggregate kernel for the copylhs/sum
 // GNN hot path over one bipartite block: for every destination i,
@@ -73,19 +18,15 @@ func (r FeatRows) CopyRow(dst []float32, i int) []float32 {
 // allocation from the per-frontier pass. For fp32 sources the float-op
 // order per output element is exactly the gather-then-aggregate order, so
 // results are bit-identical to the unfused path (the property the serving
-// bit-identity pins rely on); bf16 sources decode rows on load and
-// accumulate in float32.
+// bit-identity pins rely on).
 //
 // indptr/indices/selfIdx are the bipartite block arrays (minibatch.Block's
 // layout): indices and selfIdx hold frontier-local IDs, frontier maps them
-// to rows of feats. out must be NumDst×feats.Cols(), zeroed or not — rows
+// to rows of feats. out must be NumDst×feats.Cols, zeroed or not — rows
 // are overwritten.
-func GatherAggGCNSum(out *tensor.Matrix, feats FeatRows, frontier []int32,
+func GatherAggGCNSum(out, feats *tensor.Matrix, frontier []int32,
 	indptr, indices, selfIdx []int32, norm []float32) error {
-	if !feats.Valid() {
-		return fmt.Errorf("spmm: FeatRows must have exactly one backing")
-	}
-	d := feats.Cols()
+	d := feats.Cols
 	numDst := len(indptr) - 1
 	if out.Rows != numDst || out.Cols != d {
 		return fmt.Errorf("spmm: fused output %dx%d, want %dx%d", out.Rows, out.Cols, numDst, d)
@@ -107,12 +48,7 @@ func GatherAggGCNSum(out *tensor.Matrix, feats FeatRows, frontier []int32,
 		gSelf[i] = frontier[u]
 	}
 	body := func(v0, v1 int) {
-		fusedGatherSumFP32(out, feats.F32, gIdx, gSelf, indptr, norm, v0, v1)
-	}
-	if feats.B16 != nil {
-		body = func(v0, v1 int) {
-			fusedGatherSumBF16(out, feats.B16, gIdx, gSelf, indptr, norm, v0, v1)
-		}
+		fusedGatherSum(out, feats, gIdx, gSelf, indptr, norm, v0, v1)
 	}
 	// Output rows are independent and each is computed by exactly one
 	// worker in the same sequential per-row order, so the result is
@@ -139,14 +75,14 @@ const (
 // fusedIdxScratch pools the per-call translated index buffer.
 var fusedIdxScratch parallel.Scratch[int32]
 
-// fusedGatherSumFP32 streams each scattered source row once, whole-row
+// fusedGatherSum streams each scattered source row once, whole-row
 // contiguous (prefetcher-friendly; a tileW register block would revisit
 // every scattered row once per tile and defeat it). gIdx/gSelf hold the
 // pre-translated global rows. The per-element op order — neighbors in
 // index order, then self, then scale — is exactly
 // gather-then-AggregateGCN, so results are bit-identical to the unfused
 // path.
-func fusedGatherSumFP32(out, feats *tensor.Matrix,
+func fusedGatherSum(out, feats *tensor.Matrix,
 	gIdx, gSelf, indptr []int32, norm []float32, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		dst := out.Row(i)
@@ -164,32 +100,6 @@ func fusedGatherSumFP32(out, feats *tensor.Matrix,
 		n := norm[i]
 		for j := range dst {
 			dst[j] = (dst[j] + self[j]) * n
-		}
-	}
-}
-
-// fusedGatherSumBF16 is fusedGatherSumFP32 over the 16-bit slab: the
-// uint16 load + shift decode replaces the float32 load, halving the bytes
-// read per scattered row.
-func fusedGatherSumBF16(out *tensor.Matrix, feats *tensor.BF16Matrix,
-	gIdx, gSelf, indptr []int32, norm []float32, i0, i1 int) {
-	d := out.Cols
-	for i := i0; i < i1; i++ {
-		dst := out.Row(i)
-		for j := range dst {
-			dst[j] = 0
-		}
-		lo, hi := indptr[i], indptr[i+1]
-		for p := lo; p < hi; p++ {
-			src := feats.Row(int(gIdx[p]))[:d]
-			for j := range dst {
-				dst[j] += bf16Decode(src[j])
-			}
-		}
-		self := feats.Row(int(gSelf[i]))[:d]
-		n := norm[i]
-		for j := range dst {
-			dst[j] = (dst[j] + bf16Decode(self[j])) * n
 		}
 	}
 }

@@ -74,7 +74,7 @@ func TestFusedGatherSumBitIdenticalToUnfused(t *testing.T) {
 	}
 
 	got := tensor.New(50, d)
-	if err := GatherAggGCNSum(got, RowsOf(feats), frontier, indptr, indices, selfIdx, norm); err != nil {
+	if err := GatherAggGCNSum(got, feats, frontier, indptr, indices, selfIdx, norm); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want.Data {
@@ -82,102 +82,11 @@ func TestFusedGatherSumBitIdenticalToUnfused(t *testing.T) {
 			t.Fatalf("fused diverges from unfused at %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
-
-	// bf16 source: must equal the fp32 fused pass over the decoded matrix
-	// bitwise (decode is exact, accumulation identical).
-	slab := tensor.BF16FromMatrix(feats)
-	wantB := tensor.New(50, d)
-	if err := GatherAggGCNSum(wantB, RowsOf(slab.ToMatrix()), frontier, indptr, indices, selfIdx, norm); err != nil {
-		t.Fatal(err)
-	}
-	gotB := tensor.New(50, d)
-	if err := GatherAggGCNSum(gotB, RowsOfBF16(slab), frontier, indptr, indices, selfIdx, norm); err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantB.Data {
-		if math.Float32bits(gotB.Data[i]) != math.Float32bits(wantB.Data[i]) {
-			t.Fatalf("bf16 fused diverges from decoded fp32 at %d: %v vs %v", i, gotB.Data[i], wantB.Data[i])
-		}
-	}
 }
 
 func TestFusedGatherSumValidates(t *testing.T) {
 	feats := tensor.New(4, 3)
-	out := tensor.New(1, 3)
-	if err := GatherAggGCNSum(out, FeatRows{}, nil, []int32{0, 0}, nil, []int32{0}, []float32{1}); err == nil {
-		t.Fatal("zero FeatRows must be rejected")
-	}
-	if err := GatherAggGCNSum(tensor.New(2, 3), RowsOf(feats), []int32{0}, []int32{0, 0}, nil, []int32{0}, []float32{1}); err == nil {
+	if err := GatherAggGCNSum(tensor.New(2, 3), feats, []int32{0}, []int32{0, 0}, nil, []int32{0}, []float32{1}); err == nil {
 		t.Fatal("output shape mismatch must be rejected")
-	}
-	if err := GatherAggGCNSum(out, FeatRows{F32: feats, B16: tensor.NewBF16(4, 3)}, nil, []int32{0, 0}, nil, []int32{0}, []float32{1}); err == nil {
-		t.Fatal("double-backed FeatRows must be rejected")
-	}
-}
-
-// TestPlanBF16MatchesDecodedFP32 pins the source-precision axis across the
-// whole optimization ladder: a Plan reading Args.FVB must produce exactly
-// the output of the same Plan reading the decoded fp32 matrix, for every
-// schedule × blocking × reordering configuration and both hot-path and
-// fallback (⊗, ⊕) pairs.
-func TestPlanBF16MatchesDecodedFP32(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := randomGraph(rng, 400, 2600)
-	const d = 21
-	slab := tensor.NewBF16(g.NumVertices, d)
-	for i := range slab.Data {
-		slab.Data[i] = uint16(rng.Intn(1 << 16))
-	}
-	for i := range slab.Data { // no NaN payloads: equality below is bitwise
-		if v := slab.At(i/d, i%d); math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			slab.Data[i] = 0
-		}
-	}
-	decoded := slab.ToMatrix()
-	fe := tensor.New(g.NumEdges, d)
-	for i := range fe.Data {
-		fe.Data[i] = float32(rng.NormFloat64())
-	}
-
-	for _, opt := range []Options{
-		{NumBlocks: 1, Schedule: ScheduleStatic},
-		{NumBlocks: 1, Schedule: ScheduleDynamic, Reordered: true},
-		{NumBlocks: 4, Schedule: ScheduleDynamic, Reordered: true},
-		{NumBlocks: 4, Schedule: ScheduleStatic, Reordered: false},
-	} {
-		plan := NewPlan(g, opt)
-		for _, tc := range []struct {
-			op  Op
-			red Reduce
-			fe  *tensor.Matrix
-		}{
-			{OpCopyLHS, ReduceSum, nil}, // reordered bf16 tile kernel
-			{OpMul, ReduceSum, fe},      // scratch-decode fallback, binary op
-			{OpCopyLHS, ReduceMax, nil}, // scratch-decode fallback, max
-		} {
-			want := tensor.New(g.NumVertices, d)
-			if err := plan.Run(&Args{G: g, FV: decoded, FE: tc.fe, FO: want, Op: tc.op, Red: tc.red}); err != nil {
-				t.Fatal(err)
-			}
-			got := tensor.New(g.NumVertices, d)
-			if err := plan.Run(&Args{G: g, FVB: slab, FE: tc.fe, FO: got, Op: tc.op, Red: tc.red}); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Data {
-				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("opt %+v %v/%v: bf16 plan diverges at %d: %v vs %v",
-						opt, tc.op, tc.red, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
-	}
-
-	// The baseline kernel is fp32-only by contract.
-	if err := Baseline(&Args{G: g, FVB: slab, FO: tensor.New(g.NumVertices, d), Op: OpCopyLHS, Red: ReduceSum}); err == nil {
-		t.Fatal("Baseline must reject bf16 sources")
-	}
-	// FV and FVB together are ambiguous.
-	if err := (&Args{G: g, FV: decoded, FVB: slab, FO: tensor.New(g.NumVertices, d), Op: OpCopyLHS, Red: ReduceSum}).Validate(); err == nil {
-		t.Fatal("Validate must reject FV+FVB")
 	}
 }

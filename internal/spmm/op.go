@@ -52,29 +52,6 @@ func (o Op) String() string {
 // IsUnary reports whether the operator uses only one operand.
 func (o Op) IsUnary() bool { return o == OpCopyLHS || o == OpCopyRHS }
 
-// SrcPrecision identifies the storage format of the vertex-feature operand
-// f_V — the source-precision axis of the aggregation primitive. Outputs and
-// accumulators are always float32; only the streamed source rows change
-// width, which is where the memory-bandwidth bill (the SpMM roofline limit)
-// is paid.
-type SrcPrecision uint8
-
-const (
-	// SrcFP32 reads f_V from a float32 tensor.Matrix (Args.FV).
-	SrcFP32 SrcPrecision = iota
-	// SrcBF16 reads f_V from a bfloat16 tensor.BF16Matrix (Args.FVB),
-	// decoding rows on load and accumulating in float32 — half the source
-	// bytes per element.
-	SrcBF16
-)
-
-func (p SrcPrecision) String() string {
-	if p == SrcBF16 {
-		return "bf16"
-	}
-	return "fp32"
-}
-
 // Reduce is the elementwise ⊕ reducer that folds per-edge results into f_O.
 type Reduce uint8
 

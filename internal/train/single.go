@@ -13,8 +13,6 @@ import (
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
 	"distgnn/internal/parallel"
-	"distgnn/internal/quant"
-	"distgnn/internal/tensor"
 )
 
 // SingleConfig configures single-socket full-batch training.
@@ -28,16 +26,6 @@ type SingleConfig struct {
 	// OMP_NUM_THREADS knob of the paper's experiments. 0 keeps the current
 	// pool (GOMAXPROCS by default).
 	Workers int
-	// FeatPrecision selects input-feature storage. quant.FP32 (zero value)
-	// trains over the dataset matrix unchanged. quant.BF16 rounds the
-	// features once into a 16-bit slab: the layer-0 aggregation streams the
-	// slab (half the feature-read traffic, float32 accumulation) and every
-	// other consumer reads the decoded fp32 copy, so the run is
-	// bit-identical to fp32 training over the rounded features.
-	// Incompatible with Model.UseBaselineAgg (the baseline kernel is
-	// fp32-only). Distributed training is fp32-only: the partial-aggregate
-	// conformance pins are defined over fp32 inputs.
-	FeatPrecision quant.Precision
 }
 
 // EpochStat records one epoch of single-socket training: the loss, total
@@ -101,20 +89,6 @@ func SingleSocket(ds *datasets.Dataset, cfg SingleConfig) (*SingleResult, error)
 	if err != nil {
 		return nil, err
 	}
-	// Feature precision: bf16 rounds once up front; the model reads the slab
-	// in layer 0 and the decoded copy everywhere else.
-	feats := ds.Features
-	switch cfg.FeatPrecision {
-	case quant.FP32:
-	case quant.BF16:
-		slab := tensor.BF16FromMatrix(ds.Features)
-		feats = slab.ToMatrix()
-		if err := m.SetBF16Features(slab); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("train: unsupported feature precision %v (fp32 or bf16)", cfg.FeatPrecision)
-	}
 	var opt nn.Optimizer
 	if cfg.UseAdam {
 		opt = nn.NewAdam(cfg.LR, cfg.WeightDecay)
@@ -127,7 +101,7 @@ func SingleSocket(ds *datasets.Dataset, cfg SingleConfig) (*SingleResult, error)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		start := time.Now()
 		m.ResetAggTime()
-		logits := m.Forward(feats, true)
+		logits := m.Forward(ds.Features, true)
 		loss, dlogits := nn.MaskedCrossEntropy(logits, ds.Labels, ds.TrainIdx)
 		nn.ZeroGrads(params)
 		m.Backward(dlogits)
@@ -139,7 +113,7 @@ func SingleSocket(ds *datasets.Dataset, cfg SingleConfig) (*SingleResult, error)
 		})
 	}
 
-	logits := m.Forward(feats, false)
+	logits := m.Forward(ds.Features, false)
 	res.TrainAcc = nn.Accuracy(logits, ds.Labels, ds.TrainIdx)
 	res.ValAcc = nn.Accuracy(logits, ds.Labels, ds.ValIdx)
 	res.TestAcc = nn.Accuracy(logits, ds.Labels, ds.TestIdx)
